@@ -37,7 +37,7 @@ object Audit {
       (unfairGroups(Fairness.TPRP, tauFair) ++ unfairGroups(Fairness.FPRP, tauFair)).distinct.sorted
   }
 
-  /** Runs the audit at one matching threshold.
+  /** Runs the audit at one matching threshold: one aggregation (see [[sweep]]).
     *
     * @param minSupport groups with fewer legitimate pairs are skipped —
     *                   only "valid groups" are audited (§5.1).
@@ -48,40 +48,33 @@ object Audit {
       lens: Lens = Lens.Single,
       measures: Seq[Fairness.Measure] = Fairness.all,
       minSupport: Long = 10,
-  ): Result = {
-    val overall = ConfusionCounts.overall(scored, tauMatch)
-    val perGroup = lens match {
-      case Lens.Single   => ConfusionCounts.single(scored, tauMatch)
-      case Lens.Pairwise => ConfusionCounts.pairwise(scored, tauMatch)
-    }
-    val cells = for {
-      (g, conf) <- perGroup.toSeq.sortBy(_._1)
-      if conf.total >= minSupport
-      m <- measures
-    } yield {
-      val ov = m.value(overall)
-      val gv = m.value(conf)
-      val sub = for (o <- ov; v <- gv) yield Fairness.subDisparity(o, v, m.direction)
-      val div = for (o <- ov; v <- gv) yield Fairness.divDisparity(o, v, m.direction)
-      Cell(g, m, ov, gv, sub, div, conf.total)
-    }
-    Result(tauMatch, lens, cells)
-  }
+  ): Result = sweep(scored, Seq(tauMatch), lens, measures, minSupport).head
 
-  /** Threshold sweep: audits at each τ; used for the Table 7 sensitivity. */
+  /** Audits at each τ, in the order of `taus` (the Table 7 sensitivity). One
+    * aggregation yields the overall and every group's confusion at all τ, so
+    * `scored` is read once and not cached here; caching it is the caller's.
+    */
   def sweep(
       scored: DataFrame,
       taus: Seq[Double],
       lens: Lens = Lens.Single,
       measures: Seq[Fairness.Measure] = Fairness.all,
       minSupport: Long = 10,
-  ): Seq[Result] = {
-    // One cached scored frame serves every threshold (scores are reused;
-    // only the cheap per-τ aggregations differ).
-    scored.cache()
-    try taus.map(t => run(scored, t, lens, measures, minSupport))
-    finally scored.unpersist()
-  }
+  ): Seq[Result] =
+    taus.zip(ConfusionCounts.sweep(scored, taus, lens)).map { case (tau, (overall, perGroup)) =>
+      val cells = for {
+        (g, conf) <- perGroup.toSeq.sortBy(_._1)
+        if conf.total >= minSupport
+        m <- measures
+      } yield {
+        val ov = m.value(overall)
+        val gv = m.value(conf)
+        val sub = for (o <- ov; v <- gv) yield Fairness.subDisparity(o, v, m.direction)
+        val div = for (o <- ov; v <- gv) yield Fairness.divDisparity(o, v, m.direction)
+        Cell(g, m, ov, gv, sub, div, conf.total)
+      }
+      Result(tau, lens, cells)
+    }
 
   /** Table 7's threshold sensitivity: the ℓ2 norm of the differences in the
     * number of unfair groups between adjacent matching thresholds.

@@ -20,8 +20,12 @@ object GenUtil {
 
   /** Materializes pair rows as a DataFrame with columns
     * id1, id2, l_&lt;attr&gt;…, r_&lt;attr&gt;…, g1, g2, label.
+    * Each (id1, id2) must occur at most once: the pairwise lens counts a pair
+    * once per group key on each row, which is once per pair only then.
     */
   def pairsDF(spark: SparkSession, attrs: Seq[String], rows: Seq[PairRow]): DataFrame = {
+    val seen = scala.collection.mutable.HashSet.empty[(Long, Long)]
+    rows.foreach(p => require(seen.add((p.id1, p.id2)), s"pair (${p.id1}, ${p.id2}) occurs twice"))
     val schema = StructType(
       Seq(StructField("id1", LongType), StructField("id2", LongType)) ++
         attrs.map(a => StructField(s"l_$a", StringType, nullable = true)) ++
